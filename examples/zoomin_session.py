@@ -80,8 +80,9 @@ def main() -> None:
     print("Full article body retrieved by the zoom-in:")
     print(" ", full_article.text)
     print()
-    print(f"cache stats: {notes.cache.stats.hits} hits, "
-          f"{notes.cache.stats.misses} misses")
+    counters = notes.cache.counters
+    print(f"cache stats: {counters.memory_hits + counters.disk_hits} hits, "
+          f"{counters.misses} misses")
     notes.close()
 
 

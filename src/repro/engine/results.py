@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.concurrency import make_lock
@@ -64,6 +64,8 @@ class QueryResult:
     elapsed_seconds: float = 0.0
     trace: Any | None = None
     stats: Any | None = None
+    #: Memo of :meth:`size_estimate`; results are immutable once executed.
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -79,15 +81,20 @@ class QueryResult:
         return resolve_column(self.columns, name)
 
     def size_estimate(self) -> int:
-        """Approximate in-memory footprint (RCO's overhead factor)."""
-        total = 64
-        for row in self.tuples:
-            total += 16
-            for value in row.values:
-                total += len(value) if isinstance(value, str) else 8
-            total += row.total_summary_size()
-            total += 16 * len(row.attachments)
-        return total
+        """Approximate in-memory footprint (RCO's overhead factor).
+
+        Walks the tuples once; later calls return the memo.
+        """
+        if self._size is None:
+            total = 64
+            for row in self.tuples:
+                total += 16
+                for value in row.values:
+                    total += len(value) if isinstance(value, str) else 8
+                total += row.total_summary_size()
+                total += 16 * len(row.attachments)
+            self._size = total
+        return self._size
 
     def summary_instances(self) -> list[str]:
         """Names of summary instances present anywhere in the result."""
@@ -182,6 +189,10 @@ class ResultRegistry:
     bytes behind a generous count limit.  The newest result is always
     retained, even when it alone exceeds the byte budget (evicting the
     result just handed to the caller would be absurd).
+
+    qids start at 101, or past ``reserved_through`` — the highest qid a
+    previous process left in the zoom-in cache's disk tier — so a qid
+    never names two results.
     """
 
     #: Default byte budget: 64 MiB of estimated result footprint.
@@ -191,6 +202,7 @@ class ResultRegistry:
         self,
         capacity: int = 256,
         capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
+        reserved_through: int = 0,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -201,15 +213,12 @@ class ResultRegistry:
         self._capacity = capacity
         self._capacity_bytes = capacity_bytes
         self._results: OrderedDict[int, QueryResult] = OrderedDict()
-        #: qid -> size_estimate() at registration time.  Sizes are
-        #: captured once — results are immutable after execution — so
-        #: eviction never re-walks every stored tuple.
-        self._sizes: dict[int, int] = {}
         self._total_bytes = 0
         # itertools.count.__next__ is atomic under the GIL, but the
         # registry map and its eviction loop are not — one lock for both.
         self._lock = make_lock("engine.results")
-        self._qid_counter = itertools.count(101)  # matches the paper's QID=101
+        # 101 matches the paper's QID=101.
+        self._qid_counter = itertools.count(max(101, reserved_through + 1))
 
     def next_qid(self) -> int:
         """Allocate the next query id."""
@@ -225,18 +234,17 @@ class ResultRegistry:
         """Store a result, evicting oldest-first past either bound."""
         size = result.size_estimate()
         with self._lock:
-            evicted = self._results.pop(result.qid, None)
-            if evicted is not None:
-                self._total_bytes -= self._sizes.pop(result.qid, 0)
+            replaced = self._results.pop(result.qid, None)
+            if replaced is not None:
+                self._total_bytes -= replaced.size_estimate()
             self._results[result.qid] = result
-            self._sizes[result.qid] = size
             self._total_bytes += size
             while len(self._results) > 1 and (
                 len(self._results) > self._capacity
                 or self._total_bytes > self._capacity_bytes
             ):
-                qid, _ = self._results.popitem(last=False)
-                self._total_bytes -= self._sizes.pop(qid, 0)
+                _, evicted = self._results.popitem(last=False)
+                self._total_bytes -= evicted.size_estimate()
 
     def get(self, qid: int) -> QueryResult:
         """Look up a result or raise :class:`UnknownQueryIdError`."""

@@ -52,10 +52,10 @@ from repro.storage.database import Database
 from repro.storage.planner_stats import PlannerStatsStore
 from repro.summaries.base import SummaryInstance
 from repro.summaries.registry import SummaryTypeRegistry
-from repro.zoomin.cache import ZoomInCache
+from repro.zoomin.admission import AdmitAll, CostAwareAdmission
 from repro.zoomin.command import ZoomInCommand
 from repro.zoomin.executor import ZoomInExecutor, ZoomInResult
-from repro.zoomin.rco import RCOPolicy
+from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
 from repro.zoomin.tracing import TraceStore
 
@@ -71,25 +71,18 @@ class InsightNotes:
         Summary type registry; defaults to the three built-in types.
         Register custom types before defining instances of them.
     cache_bytes:
-        Capacity of the zoom-in result cache.
-    cache_policy:
-        Replacement policy for that cache; defaults to the paper's RCO.
+        Budget of the zoom-in result cache's memory tier
+        (:class:`~repro.zoomin.tiered.TieredZoomInCache`, RCO-managed).
     cache_store:
-        Storage backend for cached results: ``None`` keeps live objects
-        in memory; ``"disk"`` serializes results through a SQLite store
-        (the paper's disk-based materialization); any other string is a
-        SQLite file path for the store; a
-        :class:`~repro.zoomin.stores.ResultStore` instance is used as-is.
-        With ``cache_disk_bytes`` set this names the *disk tier* of the
-        tiered cache instead.
+        SQLite file of the cache's disk tier; ``None`` keeps the disk
+        tier in a private in-memory database.  Only meaningful with
+        ``cache_disk_bytes``.
     cache_disk_bytes:
-        Enable the production two-tier cache
-        (:class:`~repro.zoomin.tiered.TieredZoomInCache`): ``cache_bytes``
-        budgets the hot in-memory tier and this budgets the disk tier
-        (``cache_store`` selects its SQLite file; default private
-        in-memory).  Brings cost-aware admission (priced by the cost
-        model's recompute estimate) and single-flight zoom-in recompute.
-        ``None`` (the default) keeps the single-tier prototype cache.
+        Budget of the cache's disk tier (the paper's disk-based
+        materialization).  ``0`` (the default) runs the memory tier
+        alone and admits every result that fits; a disk tier brings
+        cost-aware admission (priced by the cost model's recompute
+        estimate) and warm restart from ``cache_store``.
     trace_history:
         How many recent per-query traces (:class:`~repro.zoomin.tracing.
         QueryTrace`) the session retains for :meth:`trace`.
@@ -144,9 +137,8 @@ class InsightNotes:
         path: str = ":memory:",
         registry: SummaryTypeRegistry | None = None,
         cache_bytes: int = 4 * 1024 * 1024,
-        cache_policy: Any | None = None,
-        cache_store: Any | None = None,
-        cache_disk_bytes: int | None = None,
+        cache_store: str | None = None,
+        cache_disk_bytes: int = 0,
         trace_history: int = 128,
         normalize: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
@@ -179,43 +171,34 @@ class InsightNotes:
             cost_planner=cost_planner,
             statistics=self.stats_registry,
         )
-        self.results = ResultRegistry()
         self.traces = TraceStore(capacity=trace_history)
-        if isinstance(cache_store, str):
-            from repro.zoomin.stores import SQLiteResultStore
-
-            store_path = ":memory:" if cache_store == "disk" else cache_store
-            cache_store = SQLiteResultStore(
-                store_path, registry=self.catalog.registry
+        disk_store = None
+        if cache_disk_bytes:
+            # The disk tier must deserialize with *this* session's
+            # registry, or custom summary types fail to revive.
+            disk_store = SQLiteResultStore(
+                cache_store or ":memory:", registry=self.catalog.registry
             )
-        self.cache: ZoomInCache | TieredZoomInCache
-        if cache_disk_bytes is not None:
-            from repro.zoomin.stores import SQLiteResultStore
-
-            if cache_store is None:
-                # The disk tier must deserialize with *this* session's
-                # registry, or custom summary types fail to revive.
-                cache_store = SQLiteResultStore(
-                    registry=self.catalog.registry
-                )
-            elif not isinstance(cache_store, SQLiteResultStore):
-                raise ValueError(
-                    "the tiered cache's disk tier needs a SQLiteResultStore "
-                    f"(or a path), got {type(cache_store).__name__}"
-                )
-            self.cache = TieredZoomInCache(
-                memory_bytes=cache_bytes,
-                disk_bytes=cache_disk_bytes,
-                policy=cache_policy or RCOPolicy(),
-                disk_store=cache_store,
-                trace_store=self.traces,
+        elif cache_store is not None:
+            raise ValueError(
+                "cache_store names the disk tier's file; set cache_disk_bytes"
             )
-        else:
-            self.cache = ZoomInCache(
-                capacity_bytes=cache_bytes,
-                policy=cache_policy or RCOPolicy(),
-                store=cache_store,
-            )
+        self.cache = TieredZoomInCache(
+            memory_bytes=cache_bytes,
+            disk_bytes=cache_disk_bytes,
+            disk_store=disk_store,
+            # Cost-aware admission prices cheap results against disk
+            # deserialization, so it only applies over a disk tier.
+            admission=(
+                CostAwareAdmission() if disk_store is not None else AdmitAll()
+            ),
+            trace_store=self.traces,
+        )
+        # A qid names one result across restarts: number new queries
+        # past every qid the disk tier warm-loaded.
+        self.results = ResultRegistry(
+            reserved_through=max(self.cache.resident_qids(), default=0)
+        )
         self._zoomin = ZoomInExecutor(
             self.annotations, self.cache, recompute=self.results.get
         )
@@ -717,9 +700,6 @@ class InsightNotes:
         zoom-in cache behaviour.
         """
         contribution_stats = self.manager.contributions.stats
-        # Both cache implementations export the same stats_json schema;
-        # the legacy "zoomin_cache" key is derived from it below.
-        zoomin = self.cache.stats_json()
         return {
             "shards": self.db.shard_count,
             "shard_pools": self.db.backend.counters(),
@@ -744,15 +724,6 @@ class InsightNotes:
                 **self.planner.counters.to_json(),
                 "stats": self.stats_registry.freshness(),
             },
-            "zoomin": zoomin,
-            "zoomin_cache": {
-                "hits": zoomin["memory_hits"] + zoomin["disk_hits"],
-                "misses": zoomin["misses"],
-                "hit_ratio": zoomin["hit_ratio"],
-                "evictions": zoomin["memory_evictions"]
-                + zoomin["disk_evictions"],
-                "bytes_used": zoomin["tiers"]["memory"]["bytes_used"],
-                "capacity_bytes": zoomin["tiers"]["memory"]["capacity_bytes"],
-            },
+            "zoomin": self.cache.stats_json(),
             "traces_retained": len(self.traces),
         }

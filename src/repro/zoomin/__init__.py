@@ -7,13 +7,13 @@ classifier label, a cluster group, or a snippet — with the ZOOMIN command
 
     ZOOMIN REFERENCE QID = 101 WHERE C1 = 'x' ON NaiveBayesClass INDEX 1
 
-Execution is served by a limited cache in which query results compete for
-space under the **RCO** replacement policy (Recency, Complexity, Overhead
-+ zoom-in reference frequency); LRU / LFU / FIFO / size-based baselines
-are provided for the EXP-Z1 benchmark.  The production path is the
-two-tier :class:`TieredZoomInCache` (memory over SQLite) with cost-aware
-admission and single-flight recompute; :class:`ZoomInCache` is the
-single-tier prototype kept for the policy benchmarks.
+Execution is served by one limited cache, :class:`TieredZoomInCache`, in
+which query results compete for space under the **RCO** replacement
+policy (Recency, Complexity, Overhead + zoom-in reference frequency);
+LRU / LFU / FIFO / size-based baselines are provided for the EXP-Z1
+benchmark.  The cache is a memory tier over an optional SQLite disk tier
+(``disk_bytes=0`` runs memory only), with pluggable admission and
+single-flight recompute.
 """
 
 from repro.zoomin.admission import (
@@ -22,7 +22,6 @@ from repro.zoomin.admission import (
     AdmitAll,
     CostAwareAdmission,
 )
-from repro.zoomin.cache import CacheStats, ZoomInCache
 from repro.zoomin.command import ZoomInCommand, parse_zoomin
 from repro.zoomin.executor import ZoomInExecutor, ZoomInMatch, ZoomInResult
 from repro.zoomin.policies import (
@@ -34,8 +33,6 @@ from repro.zoomin.policies import (
 )
 from repro.zoomin.rco import RCOPolicy, RCOWeights
 from repro.zoomin.stores import (
-    MemoryResultStore,
-    ResultStore,
     SQLiteResultStore,
     StoredEntryMeta,
 )
@@ -52,24 +49,20 @@ __all__ = [
     "AdmissionVerdict",
     "AdmitAll",
     "CacheEvent",
-    "CacheStats",
     "CostAwareAdmission",
     "FIFOPolicy",
     "LFUPolicy",
     "LRUPolicy",
-    "MemoryResultStore",
     "QueryTrace",
     "RCOPolicy",
     "RCOWeights",
     "ReplacementPolicy",
-    "ResultStore",
     "SQLiteResultStore",
     "SizePolicy",
     "StoredEntryMeta",
     "TieredZoomInCache",
     "TierCounters",
     "TraceStore",
-    "ZoomInCache",
     "ZoomInCommand",
     "ZoomInExecutor",
     "ZoomInMatch",

@@ -6,10 +6,6 @@ command's predicate, locates the addressed summary component on each
 matching tuple, and fetches the component's raw annotations from the
 annotation store — the only point in the whole pipeline where raw
 annotation text is read back.
-
-A configurable ``miss_penalty`` models the recomputation cost of a cache
-miss (re-running the query in the real system); the EXP-Z1 benchmark uses
-it to translate hit ratios into latency.
 """
 
 from __future__ import annotations
@@ -24,11 +20,9 @@ from repro.errors import ZoomInError
 from repro.model.annotation import Annotation
 from repro.storage.annotations import AnnotationStore
 from repro.summaries.base import ZoomComponent
-from repro.zoomin.cache import ZoomInCache
 from repro.zoomin.command import ZoomInCommand, parse_zoomin
 from repro.zoomin.tiered import (
     SOURCE_COALESCED,
-    SOURCE_MEMORY,
     SOURCE_RECOMPUTED,
     TieredZoomInCache,
 )
@@ -74,8 +68,8 @@ class ZoomInResult:
     cache_hit: bool
     elapsed_seconds: float = 0.0
     #: Where the referenced result came from: ``memory`` / ``disk`` /
-    #: ``recomputed`` / ``coalesced`` on the tiered cache; ``memory`` /
-    #: ``recomputed`` on the single-tier prototype.
+    #: ``recomputed`` / ``coalesced`` (see
+    #: :meth:`~repro.zoomin.tiered.TieredZoomInCache.get_or_compute`).
     source: str = ""
 
     def annotation_count(self) -> int:
@@ -101,17 +95,15 @@ class ZoomInResult:
 class ZoomInExecutor:
     """Executes zoom-in commands against the result cache.
 
-    ``cache`` may be the single-tier prototype
-    (:class:`~repro.zoomin.cache.ZoomInCache`) or the production
-    :class:`~repro.zoomin.tiered.TieredZoomInCache`; the tiered cache's
-    ``get_or_compute`` is used when available so concurrent zoom-ins
-    referencing the same evicted qid coalesce into one re-execution.
+    Results are resolved through the cache's ``get_or_compute``, so
+    concurrent zoom-ins referencing the same evicted qid coalesce into
+    one call of ``recompute``.
     """
 
     def __init__(
         self,
         annotations: AnnotationStore,
-        cache: ZoomInCache | TieredZoomInCache,
+        cache: TieredZoomInCache,
         recompute: Callable[[int], QueryResult],
     ) -> None:
         self._annotations = annotations
@@ -135,16 +127,7 @@ class ZoomInExecutor:
         )
 
     def _resolve(self, qid: int) -> tuple[QueryResult, str]:
-        if isinstance(self._cache, TieredZoomInCache):
-            return self._cache.get_or_compute(
-                qid, lambda: self._recompute(qid)
-            )
-        result = self._cache.get(qid)
-        if result is not None:
-            return result, SOURCE_MEMORY
-        result = self._recompute(qid)
-        self._cache.put(result)
-        return result, SOURCE_RECOMPUTED
+        return self._cache.get_or_compute(qid, lambda: self._recompute(qid))
 
     def _expand(
         self, command: ZoomInCommand, result: QueryResult

@@ -1,8 +1,7 @@
-"""The production two-tier zoom-in result cache.
+"""The zoom-in result cache: a memory tier over an optional disk tier.
 
-The paper's zoom-in cache is disk-based (§2.2); the prototype
-:class:`~repro.zoomin.cache.ZoomInCache` is single-tier and single-lock.
-This module is the production path:
+The paper serves zoom-ins from one limited, disk-based result cache
+(§2.2).  This module is that cache, and the only one the engine has:
 
 * **Two exclusive tiers.**  A hot in-memory tier holds live
   :class:`~repro.engine.results.QueryResult` objects; a disk tier
@@ -11,7 +10,8 @@ This module is the production path:
   currency (object-size estimate vs encoded payload bytes — see
   :mod:`repro.zoomin.stores`).  Memory eviction *demotes* the victim to
   disk; a disk hit *promotes* the result back to memory.  An entry is
-  resident in exactly one tier at a time.
+  resident in exactly one tier at a time.  ``disk_bytes=0`` runs the
+  memory tier alone: no store is opened and a memory victim is dropped.
 
 * **Cost-aware admission.**  Candidates are priced by the cost model's
   recompute estimate and ruled on by an
@@ -145,13 +145,15 @@ class TieredZoomInCache:
     memory_bytes:
         Budget of the hot tier, charged against ``size_estimate()``.
     disk_bytes:
-        Budget of the disk tier, charged against encoded payload bytes.
+        Budget of the disk tier, charged against encoded payload bytes;
+        ``0`` means no disk tier.
     policy:
         Replacement ranking for both tiers; defaults to the paper's RCO.
     disk_store:
-        Backing store of the cold tier.  When the store already holds
-        entries (a cache file from a previous process) their metadata is
-        warm-loaded so the disk tier starts populated.
+        Backing store of the cold tier (default: a private in-memory
+        SQLite store).  When the store already holds entries (a cache
+        file from a previous process) their metadata is warm-loaded so
+        the disk tier starts populated.
     admission:
         Admission policy; defaults to :class:`CostAwareAdmission`.
     trace_store:
@@ -172,8 +174,10 @@ class TieredZoomInCache:
     ) -> None:
         if memory_bytes < 1:
             raise ValueError(f"memory_bytes must be >= 1, got {memory_bytes}")
-        if disk_bytes < 1:
-            raise ValueError(f"disk_bytes must be >= 1, got {disk_bytes}")
+        if disk_bytes < 0:
+            raise ValueError(f"disk_bytes must be >= 0, got {disk_bytes}")
+        if disk_bytes == 0 and disk_store is not None:
+            raise ValueError("a disk_store needs disk_bytes > 0")
         if n_stripes < 1:
             raise ValueError(f"n_stripes must be >= 1, got {n_stripes}")
         self.memory_bytes = memory_bytes
@@ -181,7 +185,11 @@ class TieredZoomInCache:
         self.policy = policy or RCOPolicy()
         self.admission = admission or CostAwareAdmission()
         self.counters = TierCounters()
-        self._disk_store = disk_store or SQLiteResultStore()
+        # None without a disk tier; the unguarded store calls below are
+        # reached only through a disk-resident entry.
+        self._disk_store: SQLiteResultStore | None = (
+            (disk_store or SQLiteResultStore()) if disk_bytes else None
+        )
         self._trace_store = trace_store
         self._stripes = [_FlightStripe() for _ in range(n_stripes)]
         # Tier metadata, payloads of the hot tier, and accounting — all
@@ -196,13 +204,14 @@ class TieredZoomInCache:
         self._memory_bytes_used = 0
         self._disk_bytes_used = 0
         self._clock = 0
-        self._warm_start()
+        if self._disk_store is not None:
+            self._warm_start(self._disk_store)
 
     # -- construction helpers ------------------------------------------
 
-    def _warm_start(self) -> None:
+    def _warm_start(self, store: SQLiteResultStore) -> None:
         """Rebuild the disk tier's metadata from a pre-existing store."""
-        for meta in self._disk_store.load_metadata():
+        for meta in store.load_metadata():
             self._entries_disk[meta.qid] = CacheEntry(
                 qid=meta.qid,
                 size_bytes=meta.size_bytes,
@@ -453,22 +462,21 @@ class TieredZoomInCache:
         recompute_cost: float,
         memory_verdict: AdmissionVerdict,
     ) -> AdmissionVerdict:
-        """Oversized-for-memory results go straight to the cold tier."""
+        """Oversized-for-memory results go straight to the cold tier,
+        when there is one."""
         qid = result.qid
+        store = self._disk_store
         with self._lock:
             now = self._tick()
             self._drop_locked(qid)
-        size = self._disk_store.put(
+        if store is None:
+            return self._reject_oversize(qid, memory_verdict)
+        size = store.put(
             result, cost=recompute_cost, access_count=0, last_access=now
         )
         if size > self.disk_bytes:
-            self._disk_store.delete(qid)
-            with self._lock:
-                self.counters.rejected_oversize += 1
-            self._emit(
-                qid, [CacheEvent("reject", detail=REJECTED_OVERSIZE)]
-            )
-            return memory_verdict
+            store.delete(qid)
+            return self._reject_oversize(qid, memory_verdict)
         with self._lock:
             self._entries_disk[qid] = CacheEntry(
                 qid=qid,
@@ -493,6 +501,14 @@ class TieredZoomInCache:
             size_bytes=size,
         )
 
+    def _reject_oversize(
+        self, qid: int, verdict: AdmissionVerdict
+    ) -> AdmissionVerdict:
+        with self._lock:
+            self.counters.rejected_oversize += 1
+        self._emit(qid, [CacheEvent("reject", detail=REJECTED_OVERSIZE)])
+        return verdict
+
     # -- eviction / demotion -------------------------------------------
 
     def _collect_memory_overflow(
@@ -500,7 +516,7 @@ class TieredZoomInCache:
     ) -> list[tuple[QueryResult, CacheEntry]]:
         """Pop memory victims until under budget.  Caller holds _lock;
         the returned (payload, entry) jobs must be flushed to disk after
-        releasing it."""
+        releasing it.  Without a disk tier victims are dropped."""
         jobs: list[tuple[QueryResult, CacheEntry]] = []
         while self._memory_bytes_used > self.memory_bytes:
             candidates = [
@@ -514,8 +530,13 @@ class TieredZoomInCache:
             del self._entries_memory[victim.qid]
             self._memory_bytes_used -= victim.size_bytes
             payload = self._memory.pop(victim.qid)
-            self.counters.demotions += 1
             self.counters.memory_evictions += 1
+            if self._disk_store is None:
+                events.append(
+                    CacheEvent("evict", tier="memory", detail="capacity")
+                )
+                continue
+            self.counters.demotions += 1
             events.append(
                 CacheEvent("demote", tier="disk", detail="memory-pressure")
             )
@@ -608,7 +629,8 @@ class TieredZoomInCache:
             self._pinned_bytes = 0
             self._memory_bytes_used = 0
             self._disk_bytes_used = 0
-        self._disk_store.clear()
+        if self._disk_store is not None:
+            self._disk_store.clear()
 
     # -- single-flight -------------------------------------------------
 

@@ -35,6 +35,21 @@ class TestQueryResult:
             1, rows=1
         ).size_estimate()
 
+    def test_size_estimate_walks_the_tuples_once(self, monkeypatch):
+        result = make_result(1, rows=3)
+        walked: list[int] = []
+        original = AnnotatedTuple.total_summary_size
+
+        def counting(row):
+            walked.append(1)
+            return original(row)
+
+        monkeypatch.setattr(AnnotatedTuple, "total_summary_size", counting)
+        first = result.size_estimate()
+        assert len(walked) == 3
+        assert result.size_estimate() == first
+        assert len(walked) == 3  # the second call reads the memo
+
     def test_summary_instances(self):
         assert make_result(1).summary_instances() == ["C"]
 
@@ -118,6 +133,11 @@ class TestResultRegistry:
             registry.register(make_result(registry.next_qid(), rows=4))
         assert len(registry) == 2
         assert registry.total_bytes == 2 * size
+
+    def test_qids_start_past_the_reserved_ones(self):
+        assert ResultRegistry().next_qid() == 101
+        assert ResultRegistry(reserved_through=57).next_qid() == 101
+        assert ResultRegistry(reserved_through=250).next_qid() == 251
 
     def test_reregistering_same_qid_does_not_double_count(self):
         registry = ResultRegistry()

@@ -100,5 +100,4 @@ class TestCacheInteraction:
         result = stack.query("SELECT C1 FROM T")
         for _ in range(3):
             stack.zoomin(f"ZOOMIN REFERENCE QID = {result.qid} ON NB INDEX 1")
-        entry = stack.cache._entries[result.qid]
-        assert entry.access_count == 3
+        assert stack.cache._entries_memory[result.qid].access_count == 3

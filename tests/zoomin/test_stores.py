@@ -5,8 +5,9 @@ import pytest
 from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.summaries.registry import default_registry
-from repro.zoomin.cache import ZoomInCache
-from repro.zoomin.stores import MemoryResultStore, SQLiteResultStore
+from repro.zoomin.admission import AdmitAll
+from repro.zoomin.stores import SQLiteResultStore
+from repro.zoomin.tiered import TieredZoomInCache
 from tests.conftest import TRAINING
 
 
@@ -121,9 +122,10 @@ class TestSQLiteResultStore:
         notes.close()
 
     def test_memory_store_charges_size_estimate(self, populated):
-        store = MemoryResultStore()
+        cache = TieredZoomInCache(disk_bytes=0, admission=AdmitAll())
         result = populated.query("SELECT name FROM birds")
-        assert store.put(result) == result.size_estimate()
+        cache.put(result)
+        assert cache.memory_bytes_used == result.size_estimate()
 
 
 class TestStoredMetadata:
@@ -198,23 +200,32 @@ class TestStoredMetadata:
 
 class TestCacheWithDiskStore:
     def test_cache_over_sqlite_store(self, populated):
-        cache = ZoomInCache(
-            capacity_bytes=10**6,
-            store=SQLiteResultStore(registry=populated.catalog.registry),
-        )
         result = populated.query("SELECT name FROM birds")
-        assert cache.put(result)
+        # A memory tier too small for the result admits it to disk.
+        cache = TieredZoomInCache(
+            memory_bytes=1,
+            disk_bytes=10**6,
+            disk_store=SQLiteResultStore(registry=populated.catalog.registry),
+            admission=AdmitAll(),
+        )
+        assert cache.put(result).admitted
+        assert cache.tier_of(result.qid) == "disk"
         revived = cache.get(result.qid)
         assert revived is not None
         assert revived.rows() == result.rows()
-        assert cache.stats.hits == 1
+        assert cache.counters.disk_hits == 1
 
     def test_eviction_deletes_from_store(self, populated):
         store = SQLiteResultStore(registry=populated.catalog.registry)
         first = populated.query("SELECT name FROM birds")
         single = store.put(first)
         store.delete(first.qid)
-        cache = ZoomInCache(capacity_bytes=int(single * 2.2), store=store)
+        cache = TieredZoomInCache(
+            memory_bytes=1,
+            disk_bytes=int(single * 2.2),
+            disk_store=store,
+            admission=AdmitAll(),
+        )
         qids = []
         for _ in range(3):
             result = populated.query("SELECT name FROM birds")
@@ -223,8 +234,13 @@ class TestCacheWithDiskStore:
         assert len(cache) == 2
         assert store.get(qids[0]) is None  # evicted from disk too
 
-    def test_session_with_disk_cache(self):
-        notes = InsightNotes(cache_store="disk")
+    def test_session_with_disk_cache(self, tmp_path):
+        # A one-byte memory tier sends every result to the disk tier.
+        notes = InsightNotes(
+            cache_bytes=1,
+            cache_store=str(tmp_path / "cache.db"),
+            cache_disk_bytes=1 << 20,
+        )
         notes.create_table("t", ["v"])
         notes.insert("t", ("x",))
         notes.define_classifier("C", ["a", "b"], [("one", "a"), ("two", "b")])
@@ -233,9 +249,20 @@ class TestCacheWithDiskStore:
         result = notes.query("SELECT v FROM t")
         zoom = notes.zoomin(f"ZOOMIN REFERENCE QID = {result.qid} ON C INDEX 1")
         assert zoom.cache_hit
+        assert zoom.source == "disk"
         assert zoom.annotation_count() == 1
         notes.close()
 
-    def test_memory_store_is_default(self):
-        cache = ZoomInCache()
-        assert isinstance(cache.store, MemoryResultStore)
+    def test_memory_store_is_default(self, monkeypatch):
+        def no_store(*args, **kwargs):
+            raise AssertionError("a default session opened a result store")
+
+        monkeypatch.setattr(SQLiteResultStore, "__init__", no_store)
+        notes = InsightNotes()
+        assert type(notes.cache) is TieredZoomInCache
+        assert notes.cache.disk_bytes == 0
+        notes.close()
+
+    def test_cache_store_needs_a_disk_budget(self, tmp_path):
+        with pytest.raises(ValueError, match="cache_disk_bytes"):
+            InsightNotes(cache_store=str(tmp_path / "cache.db"))

@@ -226,6 +226,53 @@ class TestWarmRestart:
         reopened.close()
 
 
+class TestDurableQids:
+    """A qid names one result, even across a restart over the same files."""
+
+    @staticmethod
+    def _open(tmp_path):
+        from repro import InsightNotes
+
+        # A one-byte memory tier sends every result to the disk tier.
+        return InsightNotes(
+            path=str(tmp_path / "notes.db"),
+            cache_bytes=1,
+            cache_store=str(tmp_path / "cache.db"),
+            cache_disk_bytes=1 << 20,
+        )
+
+    @staticmethod
+    def _zoomed_rows(notes, qid):
+        zoom = notes.zoomin(f"ZOOMIN REFERENCE QID = {qid} ON C INDEX 1")
+        return len(zoom.matches)
+
+    def test_restart_numbers_new_queries_past_the_warm_loaded_qids(
+        self, tmp_path
+    ):
+        first = self._open(tmp_path)
+        first.create_table("t", ["v"])
+        first.define_classifier("C", ["a", "b"], [("one", "a"), ("two", "b")])
+        first.link("C", "t")
+        for value in range(2):
+            row = first.insert("t", (f"v{value}",))
+            first.add_annotation("one one", table="t", row_id=row)
+        earlier = first.query("SELECT v FROM t")
+        assert earlier.qid == 101
+        assert first.cache.tier_of(101) == "disk"
+        first.close()
+
+        second = self._open(tmp_path)
+        for value in range(2, 8):
+            row = second.insert("t", (f"v{value}",))
+            second.add_annotation("one one", table="t", row_id=row)
+        assert self._zoomed_rows(second, 101) == 2  # the earlier result
+        later = second.query("SELECT v FROM t")
+        assert later.qid > 101
+        assert self._zoomed_rows(second, 101) == 2
+        assert self._zoomed_rows(second, later.qid) == 8
+        second.close()
+
+
 class TestSingleFlight:
     def test_stampede_computes_exactly_once(self):
         cache = make_cache()
